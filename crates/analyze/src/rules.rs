@@ -393,11 +393,13 @@ fn log_before_dirty(cx: &FileCx, out: &mut Vec<Finding>) {
 /// and a torn frame there must surface as `StoreError::Corrupt`. So is the
 /// instant-restart module: on-demand redo runs inside every post-crash
 /// fetch, where a panic would take down the serving store, not a recovery
-/// tool.
+/// tool. So is the shared tree lifecycle: its restart entry points and
+/// logical-undo handlers run inside the undo pass.
 fn panic_free_recovery(cx: &FileCx, out: &mut Vec<Finding>) {
     let scoped = cx.path == "crates/wal/src/recovery.rs"
         || cx.path == "crates/wal/src/log.rs"
         || cx.path == "crates/wal/src/instant.rs"
+        || cx.path == "crates/core/src/lifecycle.rs"
         || cx.path.ends_with("/undo.rs");
     if !scoped {
         return;

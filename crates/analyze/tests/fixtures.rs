@@ -194,8 +194,9 @@ fn redo(&self, m: &Map, v: &[u8]) -> u8 {
         hits >= 3,
         "unwrap + panic! + v[0] should all fire: {rules:?}"
     );
-    // Same shapes fire in any */undo.rs.
+    // Same shapes fire in any */undo.rs and in the shared tree lifecycle.
     assert!(rules_of("crates/hbtree/src/undo.rs", src).contains(&RuleId::PanicFreeRecovery));
+    assert!(rules_of("crates/core/src/lifecycle.rs", src).contains(&RuleId::PanicFreeRecovery));
 }
 
 #[test]

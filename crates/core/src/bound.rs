@@ -4,7 +4,8 @@
 //! `[low, high)` (§2.1.1). The first node of each level is responsible for
 //! the whole space, so bounds must be able to express ±∞.
 
-use pitree_pagestore::{StoreError, StoreResult};
+use crate::node::BoundRef;
+use pitree_pagestore::StoreResult;
 use std::cmp::Ordering;
 
 /// One end of a node's directly-contained interval.
@@ -73,30 +74,10 @@ impl KeyBound {
         }
     }
 
-    /// Decode from `bytes[*pos..]`, advancing `pos`.
+    /// Decode from `bytes[*pos..]`, advancing `pos`: the borrowed
+    /// [`BoundRef`] parser, materialized.
     pub fn decode(bytes: &[u8], pos: &mut usize) -> StoreResult<KeyBound> {
-        let tag = *bytes
-            .get(*pos)
-            .ok_or_else(|| StoreError::Corrupt("truncated bound".into()))?;
-        *pos += 1;
-        match tag {
-            0 => Ok(KeyBound::NegInf),
-            2 => Ok(KeyBound::PosInf),
-            1 => {
-                if *pos + 2 > bytes.len() {
-                    return Err(StoreError::Corrupt("truncated bound length".into()));
-                }
-                let len = u16::from_le_bytes([bytes[*pos], bytes[*pos + 1]]) as usize;
-                *pos += 2;
-                if *pos + len > bytes.len() {
-                    return Err(StoreError::Corrupt("truncated bound key".into()));
-                }
-                let k = bytes[*pos..*pos + len].to_vec();
-                *pos += len;
-                Ok(KeyBound::Key(k))
-            }
-            t => Err(StoreError::Corrupt(format!("bad bound tag {t}"))),
-        }
+        BoundRef::parse(bytes, pos).map(BoundRef::to_bound)
     }
 }
 

@@ -160,7 +160,7 @@ pub fn consolidate(tree: &PiTree, level: u8, key: &[u8]) -> StoreResult<Consolid
                     });
                 return Ok(ConsolidateOutcome::MoveDeferred);
             }
-            Err(e) => return Err(crate::tree::lock_err(e)),
+            Err(e) => return Err(crate::lifecycle::lock_err(e)),
         }
     }
 

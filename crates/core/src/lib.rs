@@ -34,6 +34,7 @@ pub mod bound;
 pub mod completion;
 pub mod config;
 pub mod consolidate;
+pub mod lifecycle;
 pub mod node;
 pub mod post;
 pub mod split;
@@ -48,6 +49,7 @@ pub use bound::KeyBound;
 pub use completion::{Completion, CompletionQueue};
 pub use config::{ConsolidationPolicy, DeallocPolicy, MoveGranule, PiTreeConfig, UndoPolicy};
 pub use consolidate::{consolidate, ConsolidateOutcome};
+pub use lifecycle::Instantiation;
 pub use node::{BoundRef, HeaderRef, IndexTerm, NodeHeader, NodeRef};
 pub use post::{post_index_term, PostOutcome};
 pub use stats::TreeStats;

@@ -63,25 +63,10 @@ impl NodeHeader {
         v
     }
 
-    /// Decode from slot-0 record bytes.
+    /// Decode from slot-0 record bytes: the borrowed [`HeaderRef`] parser,
+    /// materialized.
     pub fn decode(bytes: &[u8]) -> StoreResult<NodeHeader> {
-        if bytes.len() < 9 {
-            return Err(StoreError::Corrupt("node header too short".into()));
-        }
-        let level = bytes[0];
-        let side = PageId(u64::from_le_bytes(bytes[1..9].try_into().unwrap()));
-        let mut pos = 9;
-        let low = KeyBound::decode(bytes, &mut pos)?;
-        let high = KeyBound::decode(bytes, &mut pos)?;
-        if pos != bytes.len() {
-            return Err(StoreError::Corrupt("trailing bytes in node header".into()));
-        }
-        Ok(NodeHeader {
-            level,
-            side,
-            low,
-            high,
-        })
+        HeaderRef::parse(bytes).map(|h| h.to_header())
     }
 
     /// Read the header of a node page.
@@ -104,9 +89,9 @@ pub enum BoundRef<'a> {
 }
 
 impl<'a> BoundRef<'a> {
-    /// Parse from `bytes[*pos..]`, advancing `pos`. Rejects exactly what
-    /// [`KeyBound::decode`] rejects (bad tag, truncated length, truncated
-    /// key) so view-path and write-path corruption checks stay in lockstep.
+    /// Parse from `bytes[*pos..]`, advancing `pos`. Rejects a bad tag, a
+    /// truncated length, or a truncated key; [`KeyBound::decode`] is this
+    /// parser materialized, so both paths reject the same inputs.
     pub fn parse(bytes: &'a [u8], pos: &mut usize) -> StoreResult<BoundRef<'a>> {
         let tag = *bytes
             .get(*pos)
@@ -190,8 +175,8 @@ impl<'a> BoundRef<'a> {
 /// [`NodeHeader`] clone. Sound because the caller holds a latch guard on the
 /// page for the lifetime `'a` (DESIGN.md §11).
 ///
-/// [`NodeHeader::encode`]/[`NodeHeader::decode`] remain the write-path/SMO
-/// representation; this view serves the read hot path.
+/// [`NodeHeader`] remains the write-path/SMO representation; this view
+/// serves the read hot path and is the one header parser.
 #[derive(Debug, Clone, Copy)]
 pub struct HeaderRef<'a> {
     level: u8,
@@ -201,9 +186,9 @@ pub struct HeaderRef<'a> {
 }
 
 impl<'a> HeaderRef<'a> {
-    /// Parse slot-0 record bytes. Accepts and rejects byte-for-byte the same
-    /// inputs as [`NodeHeader::decode`] (short header, bad bound tag,
-    /// truncated bound, trailing bytes) — a property test pins the parity.
+    /// Parse slot-0 record bytes, rejecting a short header, a bad bound tag,
+    /// a truncated bound, or trailing bytes. [`NodeHeader::decode`] is this
+    /// parser materialized.
     pub fn parse(bytes: &'a [u8]) -> StoreResult<HeaderRef<'a>> {
         if bytes.len() < 9 {
             return Err(StoreError::Corrupt("node header too short".into()));

@@ -17,10 +17,11 @@
 
 use crate::bound::KeyBound;
 use crate::completion::Completion;
+use crate::lifecycle::{alloc_page, lock_err};
 use crate::node::{IndexTerm, NodeHeader};
 use crate::stats::TreeStats;
 use crate::traverse::DescentTarget;
-use crate::tree::{lock_err, PiTree};
+use crate::tree::PiTree;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{Page, PageType};
@@ -57,23 +58,6 @@ pub(crate) enum SplitCandidates<'a> {
     },
 }
 
-/// Allocate a fresh page through `chain`, logging the space-map bit. The
-/// allocation latch is ordered last (§4.1.1) and is held only across the
-/// find + logged set.
-pub(crate) fn alloc_page<'a>(tree: &'a PiTree, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
-    let store = tree.store();
-    let pid = {
-        // pitree-lint: allow(no-wait) allocation latch ranks last in the §4.1.1 order (the flow graph proves no inverse alloc->page edge), so blocking here cannot deadlock a completion path
-        let mut alloc = store.space.lock_alloc();
-        let (pid, bm_pid, bit) = alloc.find_free(&store.pool)?;
-        let bm = store.pool.fetch(bm_pid)?;
-        let mut bmg = bm.x();
-        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-        pid
-    };
-    store.pool.fetch_or_create(pid, PageType::Free)
-}
-
 /// The raw §3.2.1 split of a non-root node: partition at the middle entry,
 /// move the upper half to a freshly allocated sibling, install the sibling
 /// term. Returns the new node (X-latched) and the partition key.
@@ -96,7 +80,7 @@ fn raw_split<'a>(
     let split_key = Page::entry_key(g.get(mid_slot)?).to_vec();
 
     // Step 1: allocate space for the new node.
-    let new_pin = alloc_page(tree, chain)?;
+    let new_pin = alloc_page(tree.store(), chain)?;
     let new_pid = new_pin.id();
     let mut ng = new_pin.x();
     chain.apply(&new_pin, &mut ng, PageOp::Format { ty: PageType::Node })?;
@@ -176,7 +160,7 @@ pub(crate) fn split_node<'a>(
     // ---- root growth ---------------------------------------------------------
     let hdr = NodeHeader::read(g)?;
     debug_assert!(!hdr.side.is_valid(), "the root never has a side pointer");
-    let n1_pin = alloc_page(tree, chain)?;
+    let n1_pin = alloc_page(tree.store(), chain)?;
     let n1_pid = n1_pin.id();
     let mut n1g = n1_pin.x();
     chain.apply(&n1_pin, &mut n1g, PageOp::Format { ty: PageType::Node })?;

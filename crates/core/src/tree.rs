@@ -15,18 +15,16 @@
 
 use crate::completion::{Completion, CompletionQueue};
 use crate::config::{ConsolidationPolicy, PiTreeConfig, UndoPolicy};
+use crate::lifecycle::{self, lock_err, Instantiation};
 use crate::node::{node_full, utilization, Guarded, HeaderRef, NodeHeader};
 use crate::stats::TreeStats;
 use crate::store::Store;
 use crate::undo::{TAG_UNDO_DELETE, TAG_UNDO_INSERT, TAG_UNDO_UPDATE};
-use pitree_pagestore::page::{Page, PageType};
-use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
+use pitree_pagestore::page::Page;
+use pitree_pagestore::{PageId, PageOp, StoreResult};
 use pitree_txnlock::{LockError, LockMode, LockName, Txn};
 use pitree_wal::ActionIdentity;
 use std::sync::Arc;
-
-/// Magic marking tree-registry records on the meta page.
-const TREE_META_MAGIC: u32 = 0x5049_5452; // "PITR"
 
 /// A Π-tree (B-link instantiation) over a [`Store`].
 pub struct PiTree {
@@ -36,6 +34,36 @@ pub struct PiTree {
     root: PageId,
     completions: Arc<CompletionQueue>,
     stats: Arc<TreeStats>,
+}
+
+impl Instantiation for PiTree {
+    type Config = PiTreeConfig;
+    const META_MAGIC: u32 = 0x5049_5452; // "PITR"
+
+    fn root_leaf_header() -> Vec<u8> {
+        NodeHeader::new_root_leaf().encode()
+    }
+
+    fn attach(
+        store: Arc<Store>,
+        tree_id: u32,
+        root: PageId,
+        cfg: PiTreeConfig,
+    ) -> StoreResult<Self> {
+        let stats = Arc::new(TreeStats::new(store.recorder()));
+        Ok(PiTree {
+            store,
+            cfg,
+            tree_id,
+            root,
+            completions: Arc::new(CompletionQueue::default()),
+            stats,
+        })
+    }
+
+    fn compensate(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
+        crate::undo::compensate(self, tag, payload)
+    }
 }
 
 impl std::fmt::Debug for PiTree {
@@ -51,77 +79,12 @@ impl PiTree {
     /// root page and register it on the meta page. Forces the log so the
     /// tree's existence survives any crash.
     pub fn create(store: Arc<Store>, tree_id: u32, cfg: PiTreeConfig) -> StoreResult<PiTree> {
-        let mut act = store.txns.begin(ActionIdentity::Transaction);
-        let root = {
-            let mut alloc = store.space.lock_alloc();
-            let (root, bm_pid, bit) = alloc.find_free(&store.pool)?;
-            let bm = store.pool.fetch(bm_pid)?;
-            let mut bmg = bm.x();
-            act.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-            root
-        };
-        {
-            let page = store.pool.fetch_or_create(root, PageType::Free)?;
-            let mut g = page.x();
-            act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })?;
-            act.apply(
-                &page,
-                &mut g,
-                PageOp::InsertSlot {
-                    slot: 0,
-                    bytes: NodeHeader::new_root_leaf().encode(),
-                },
-            )?;
-        }
-        {
-            let meta = store.pool.fetch(PageId(0))?;
-            let mut g = meta.x();
-            let slot = g.slot_count();
-            let mut rec = Vec::with_capacity(16);
-            rec.extend_from_slice(&TREE_META_MAGIC.to_le_bytes());
-            rec.extend_from_slice(&tree_id.to_le_bytes());
-            rec.extend_from_slice(&root.0.to_le_bytes());
-            act.apply(&meta, &mut g, PageOp::InsertSlot { slot, bytes: rec })?;
-        }
-        act.commit()?;
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(PiTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            completions: Arc::new(CompletionQueue::default()),
-            stats,
-        })
+        lifecycle::create(store, tree_id, cfg)
     }
 
     /// Open an existing tree by id, reading its root from the meta page.
     pub fn open(store: Arc<Store>, tree_id: u32, cfg: PiTreeConfig) -> StoreResult<PiTree> {
-        let root = {
-            let meta = store.pool.fetch(PageId(0))?;
-            let g = meta.s();
-            let mut found = None;
-            for slot in 1..g.slot_count() {
-                let rec = g.get(slot)?;
-                if rec.len() == 16
-                    && u32::from_le_bytes(rec[0..4].try_into().unwrap()) == TREE_META_MAGIC
-                    && u32::from_le_bytes(rec[4..8].try_into().unwrap()) == tree_id
-                {
-                    found = Some(PageId(u64::from_le_bytes(rec[8..16].try_into().unwrap())));
-                    break;
-                }
-            }
-            found.ok_or_else(|| StoreError::Corrupt(format!("tree {tree_id} not registered")))?
-        };
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(PiTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            completions: Arc::new(CompletionQueue::default()),
-            stats,
-        })
+        lifecycle::open(store, tree_id, cfg)
     }
 
     /// Open the tree and run full crash recovery (redo + undo, with this
@@ -131,29 +94,14 @@ impl PiTree {
         tree_id: u32,
         cfg: PiTreeConfig,
     ) -> StoreResult<(PiTree, pitree_wal::RecoveryStats)> {
-        // Redo must repeat history before the tree is readable; the meta
-        // page itself may need redo, so run a redo-only pass first by
-        // deferring `open` until after recovery. Logical undo needs an open
-        // tree, which needs the meta page — recover in two steps: physical
-        // redo happens inside `recover` before any undo, and the handler
-        // opens lazily.
-        let handler = crate::undo::DeferredHandler::new(Arc::clone(&store), tree_id, cfg);
-        let stats = pitree_wal::recover(&store.pool, &store.log, Some(&handler))?;
-        let tree = PiTree::open(store, tree_id, cfg)?;
-        Ok((tree, stats))
+        lifecycle::recover(store, tree_id, cfg)
     }
 
-    /// Open the tree with **instant restart**: analysis + undo only, then
-    /// serve traffic immediately, with redo running per page at first pin.
-    /// Returns the tree plus the [`pitree_wal::InstantRecovery`] plan —
-    /// call [`pitree_wal::InstantRecovery::drive`] on background threads to
-    /// finish redo while the tree serves (or let traffic drain it).
-    ///
-    /// Sound for the Π-tree by §4.3.2: an interrupted structure change
-    /// leaves the tree well-formed but intermediate, and normal traffic
-    /// detects and completes it lazily — so serving against a partially
-    /// redone store is just serving an older well-formed state of each
-    /// not-yet-touched page. See `RECOVERY.md` for the full argument.
+    /// Open the tree with **instant restart** (see
+    /// [`lifecycle::recover_instant`]): serve traffic right after analysis
+    /// and undo, with redo running per page at first pin. Call
+    /// [`pitree_wal::InstantRecovery::drive`] on the returned plan to
+    /// finish redo in the background.
     pub fn recover_instant(
         store: Arc<Store>,
         tree_id: u32,
@@ -163,11 +111,7 @@ impl PiTree {
         Arc<pitree_wal::InstantRecovery>,
         pitree_wal::RecoveryStats,
     )> {
-        let handler = crate::undo::DeferredHandler::new(Arc::clone(&store), tree_id, cfg);
-        let (plan, stats) = pitree_wal::start_instant(&store.pool, &store.log, Some(&handler))?;
-        // `open` reads the meta page, which redoes it on demand if needed.
-        let tree = PiTree::open(store, tree_id, cfg)?;
-        Ok((tree, plan, stats))
+        lifecycle::recover_instant(store, tree_id, cfg)
     }
 
     // ---- accessors ------------------------------------------------------------
@@ -597,18 +541,5 @@ impl PiTree {
     /// [`crate::wellformed`].
     pub fn validate(&self) -> StoreResult<crate::wellformed::WellFormedReport> {
         crate::wellformed::check(self)
-    }
-}
-
-/// Convert a lock failure into a store error at the API boundary. The
-/// requester is the deadlock victim; callers abort the transaction and
-/// retry.
-pub(crate) fn lock_err(e: LockError) -> StoreError {
-    match e {
-        LockError::Deadlock => StoreError::LockFailed { deadlock: true },
-        LockError::Timeout => StoreError::LockFailed { deadlock: false },
-        LockError::WouldBlock => {
-            StoreError::Corrupt("WouldBlock escaped the No-Wait retry loop".into())
-        }
     }
 }

@@ -7,15 +7,11 @@
 //! present / insert if absent), so a crash between a compensation and its
 //! CLR marker is harmless — recovery simply re-runs it.
 
-use crate::config::PiTreeConfig;
+use crate::lifecycle::UndoHandler;
 use crate::node::node_full;
-use crate::store::Store;
 use crate::tree::PiTree;
 use pitree_pagestore::page::Page;
-use pitree_pagestore::sync::Mutex;
 use pitree_pagestore::{PageOp, StoreError, StoreResult};
-use pitree_wal::recovery::LogicalUndoHandler;
-use std::sync::Arc;
 
 /// Undo of an insert: payload is the key; compensation deletes it if
 /// present.
@@ -30,130 +26,64 @@ pub const TAG_UNDO_UPDATE: u8 = 3;
 impl PiTree {
     /// A logical-undo handler borrowing this tree, for rolling back live
     /// transactions (`Txn::abort`).
-    pub fn undo_handler(&self) -> TreeUndoHandler<'_> {
-        TreeUndoHandler(self)
-    }
-
-    /// Execute one logical compensation. Runs as an independent system
-    /// atomic action per attempt; splits (for a re-insert into a full leaf)
-    /// are ordinary independent split actions.
-    pub(crate) fn compensate(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        loop {
-            let (key, entry): (&[u8], Option<&[u8]>) = match tag {
-                TAG_UNDO_INSERT => (payload, None),
-                TAG_UNDO_DELETE | TAG_UNDO_UPDATE => (Page::entry_key(payload), Some(payload)),
-                t => return Err(StoreError::Corrupt(format!("unknown logical undo tag {t}"))),
-            };
-            let d = self.descend(key, 0, true, false)?;
-            let present = d.guard.page().keyed_find(key)?.is_ok();
-            let op = match tag {
-                TAG_UNDO_INSERT if present => Some(PageOp::KeyedRemove { key: key.to_vec() }),
-                TAG_UNDO_DELETE if !present => {
-                    let bytes = require_entry(entry)?.to_vec();
-                    if node_full(d.guard.page(), bytes.len(), self.config().max_leaf_entries) {
-                        crate::split::independent_split(self, d)?;
-                        continue; // re-descend and retry
-                    }
-                    Some(PageOp::KeyedInsert { bytes })
-                }
-                TAG_UNDO_UPDATE if present => {
-                    let bytes = require_entry(entry)?.to_vec();
-                    let Ok(slot) = d.guard.page().keyed_find(key)? else {
-                        // `present` came from the same latched page, so the
-                        // key cannot have moved; a miss here is corruption.
-                        return Err(StoreError::Corrupt(
-                            "entry vanished under latch during undo-update".to_string(),
-                        ));
-                    };
-                    let old_len = d.guard.page().get(slot)?.len();
-                    if bytes.len() > old_len && bytes.len() - old_len > d.guard.page().free_space()
-                    {
-                        crate::split::independent_split(self, d)?;
-                        continue;
-                    }
-                    Some(PageOp::KeyedUpdate { bytes })
-                }
-                _ => None, // testable state: nothing to compensate
-            };
-            let Some(op) = op else {
-                drop(d);
-                return Ok(());
-            };
-            let mut act = self
-                .store()
-                .txns
-                .begin(pitree_wal::ActionIdentity::SystemTransaction);
-            let mut g = d.guard.promote().into_x();
-            act.apply(&d.page, &mut g, op)?;
-            drop(g);
-            drop(d.page);
-            act.commit()?;
-            return Ok(());
-        }
+    pub fn undo_handler(&self) -> UndoHandler<'_, PiTree> {
+        UndoHandler(self)
     }
 }
 
-/// The undo payload an undo-delete / undo-update record must carry.
-fn require_entry(entry: Option<&[u8]>) -> StoreResult<&[u8]> {
-    entry.ok_or_else(|| {
-        StoreError::Corrupt("logical undo record missing its entry payload".to_string())
-    })
-}
-
-/// [`LogicalUndoHandler`] over a live tree.
-pub struct TreeUndoHandler<'a>(&'a PiTree);
-
-impl std::fmt::Debug for TreeUndoHandler<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TreeUndoHandler").finish_non_exhaustive()
-    }
-}
-
-impl LogicalUndoHandler for TreeUndoHandler<'_> {
-    fn undo(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        self.0.compensate(tag, payload)
-    }
-}
-
-/// A handler that opens the tree lazily — needed at restart, where recovery
-/// must run redo before the tree (whose meta record may itself need redo)
-/// can be opened, yet the undo pass needs a working tree.
-pub struct DeferredHandler {
-    store: Arc<Store>,
-    tree_id: u32,
-    cfg: PiTreeConfig,
-    tree: Mutex<Option<PiTree>>,
-}
-
-impl std::fmt::Debug for DeferredHandler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeferredHandler").finish_non_exhaustive()
-    }
-}
-
-impl DeferredHandler {
-    /// Build a handler for `tree_id` over `store`.
-    pub fn new(store: Arc<Store>, tree_id: u32, cfg: PiTreeConfig) -> DeferredHandler {
-        DeferredHandler {
-            store,
-            tree_id,
-            cfg,
-            tree: Mutex::new(None),
-        }
-    }
-}
-
-impl LogicalUndoHandler for DeferredHandler {
-    fn undo(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
-        let mut guard = self.tree.lock();
-        let tree = match &mut *guard {
-            Some(t) => t,
-            slot => slot.insert(PiTree::open(
-                Arc::clone(&self.store),
-                self.tree_id,
-                self.cfg,
-            )?),
+/// Execute one logical compensation. Runs as an independent system atomic
+/// action per attempt; splits (for a re-insert into a full leaf) are
+/// ordinary independent split actions.
+pub(crate) fn compensate(tree: &PiTree, tag: u8, payload: &[u8]) -> StoreResult<()> {
+    loop {
+        let key = match tag {
+            TAG_UNDO_INSERT => payload,
+            TAG_UNDO_DELETE | TAG_UNDO_UPDATE => Page::entry_key(payload),
+            t => return Err(StoreError::Corrupt(format!("unknown logical undo tag {t}"))),
         };
-        tree.compensate(tag, payload)
+        let d = tree.descend(key, 0, true, false)?;
+        let present = d.guard.page().keyed_find(key)?.is_ok();
+        let op = match tag {
+            TAG_UNDO_INSERT if present => Some(PageOp::KeyedRemove { key: key.to_vec() }),
+            TAG_UNDO_DELETE if !present => {
+                let bytes = payload.to_vec();
+                if node_full(d.guard.page(), bytes.len(), tree.config().max_leaf_entries) {
+                    crate::split::independent_split(tree, d)?;
+                    continue; // re-descend and retry
+                }
+                Some(PageOp::KeyedInsert { bytes })
+            }
+            TAG_UNDO_UPDATE if present => {
+                let bytes = payload.to_vec();
+                let Ok(slot) = d.guard.page().keyed_find(key)? else {
+                    // `present` came from the same latched page, so the
+                    // key cannot have moved; a miss here is corruption.
+                    return Err(StoreError::Corrupt(
+                        "entry vanished under latch during undo-update".to_string(),
+                    ));
+                };
+                let old_len = d.guard.page().get(slot)?.len();
+                if bytes.len() > old_len && bytes.len() - old_len > d.guard.page().free_space() {
+                    crate::split::independent_split(tree, d)?;
+                    continue;
+                }
+                Some(PageOp::KeyedUpdate { bytes })
+            }
+            _ => None, // testable state: nothing to compensate
+        };
+        let Some(op) = op else {
+            drop(d);
+            return Ok(());
+        };
+        let mut act = tree
+            .store()
+            .txns
+            .begin(pitree_wal::ActionIdentity::SystemTransaction);
+        let mut g = d.guard.promote().into_x();
+        act.apply(&d.page, &mut g, op)?;
+        drop(g);
+        drop(d.page);
+        act.commit()?;
+        return Ok(());
     }
 }

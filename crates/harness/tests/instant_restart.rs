@@ -10,15 +10,23 @@
 //! history" has exactly one answer — §4.3.1's invariant restated as an
 //! executable test).
 //!
-//! The second half exercises the **fuzzy-checkpoint trigger**: armed via
+//! The same oracle runs for the TSB- and hB-trees through the generic
+//! [`pitree::lifecycle`] restart pair: each family's crash image, with a
+//! forced-but-uncommitted loser, must come back byte-identical through
+//! stop-the-world and instant restart.
+//!
+//! The last part exercises the **fuzzy-checkpoint trigger**: armed via
 //! [`pitree_txnlock::TxnManager::set_checkpoint_every_bytes`], commits
 //! under load must advance the master LSN without quiescing writers, and
 //! a crash that lands after several checkpoints must still recover the
 //! committed state exactly (analysis now starts at the checkpoint, not
 //! the log head).
 
+use pitree::lifecycle::{self, Instantiation};
 use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree_hb::{HbConfig, HbTree, Point, Rect};
 use pitree_pagestore::PageId;
+use pitree_tsb::{Time, TsbConfig, TsbTree};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -166,22 +174,171 @@ fn serial_parallel_and_on_demand_redo_agree_byte_for_byte() {
     check_model(&tree_c, &model, "on-demand");
     drop(tree_c);
 
-    let img_a = page_images(&serial, 10_000);
-    let img_b = page_images(&parallel, 10_000);
-    let img_c = page_images(&on_demand, 10_000);
+    assert_same_pages(&serial, &parallel, "parallel");
+    assert_same_pages(&serial, &on_demand, "on-demand");
+}
+
+/// Assert that every allocated page of `a` and `b` is byte-identical.
+fn assert_same_pages(a: &CrashableStore, b: &CrashableStore, ctx: &str) {
+    let (img_a, img_b) = (page_images(a, 10_000), page_images(b, 10_000));
     assert_eq!(
         img_a.len(),
         img_b.len(),
-        "allocated page sets diverge (serial vs parallel)"
+        "{ctx}: allocated page sets diverge"
     );
     for ((pa, ba), (pb, bb)) in img_a.iter().zip(img_b.iter()) {
-        assert_eq!(pa, pb, "allocated page sets diverge");
-        assert_eq!(ba, bb, "page {pa}: serial and parallel REDO disagree");
+        assert_eq!(pa, pb, "{ctx}: allocated page sets diverge");
+        assert_eq!(
+            ba, bb,
+            "{ctx}: page {pa}: serial and instant-restart REDO disagree"
+        );
     }
-    for ((pa, ba), (pc, bc)) in img_a.iter().zip(img_c.iter()) {
-        assert_eq!(pa, pc, "allocated page sets diverge");
-        assert_eq!(ba, bc, "page {pa}: serial and on-demand REDO disagree");
+}
+
+/// Recover one crash image of tree 1 twice through the generic lifecycle
+/// — stop-the-world, and instant restart drained by `drive` — check each
+/// result against the model with `check`, and demand byte-identical pages.
+fn serial_and_instant_agree<T: Instantiation>(
+    cs: &CrashableStore,
+    cfg: T::Config,
+    check: impl Fn(&T, &str),
+) {
+    let serial = cs.crash().expect("snapshot serial");
+    let (tree, stats) =
+        lifecycle::recover::<T>(Arc::clone(&serial.store), 1, cfg).expect("serial recover");
+    assert!(stats.redone > 0, "workload left nothing to redo");
+    assert!(
+        !stats.losers.is_empty(),
+        "the forced-but-uncommitted loser must be found and undone"
+    );
+    check(&tree, "serial");
+    drop(tree);
+
+    let instant = cs.crash().expect("snapshot instant");
+    let (tree, plan, stats) = lifecycle::recover_instant::<T>(Arc::clone(&instant.store), 1, cfg)
+        .expect("instant recover");
+    assert!(!stats.losers.is_empty(), "instant restart missed the loser");
+    plan.drive(&instant.store.pool, 2).expect("drive");
+    assert!(plan.is_complete());
+    check(&tree, "instant");
+    drop(tree);
+
+    assert_same_pages(&serial, &instant, "generic restart");
+}
+
+/// TSB crash image: versioned puts and deletes across time and key splits,
+/// plus a loser that writes a new key and a new version of an old one.
+#[test]
+fn tsb_restarts_identically_through_the_generic_instant_path() {
+    let cfg = TsbConfig::small_nodes(4, 4);
+    let cs = CrashableStore::create(8, 10_000).expect("store");
+    let tree = TsbTree::create(Arc::clone(&cs.store), 1, cfg).expect("tree");
+    let mut now: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let write = |k: u64, v: Option<Vec<u8>>| {
+        let mut t = tree.begin();
+        match &v {
+            Some(v) => tree.put(&mut t, &key(k), v).expect("put"),
+            None => tree.delete(&mut t, &key(k)).expect("delete"),
+        };
+        t.commit().expect("commit");
+    };
+    for k in 0..30 {
+        write(k, Some(val(k, "v1")));
+        now.insert(k, val(k, "v1"));
     }
+    let fence: Time = tree.now();
+    let at_fence = now.clone();
+    for round in ["v2", "v3"] {
+        for k in 0..30 {
+            write(k, Some(val(k, round)));
+            now.insert(k, val(k, round));
+        }
+    }
+    for k in (1..30).step_by(5) {
+        write(k, None);
+        now.remove(&k);
+    }
+    let mut loser = tree.begin();
+    tree.put(&mut loser, &key(500), b"loser")
+        .expect("loser put");
+    tree.put(&mut loser, &key(4), b"loser").expect("loser put");
+    cs.store.log.force_all().expect("force loser tail");
+    std::mem::forget(loser);
+    drop(tree);
+
+    serial_and_instant_agree::<TsbTree>(&cs, cfg, |tree, ctx| {
+        for k in 0..30 {
+            let got = tree.get_current(&key(k)).expect("get_current");
+            assert_eq!(got.as_ref(), now.get(&k), "{ctx}: key {k} now");
+            let got = tree.get_as_of(&key(k), fence).expect("get_as_of");
+            assert_eq!(got.as_ref(), at_fence.get(&k), "{ctx}: key {k} as of fence");
+        }
+        assert_eq!(tree.get_current(&key(500)).expect("get"), None, "{ctx}");
+        let report = tree.validate().expect("validate");
+        assert!(report.is_well_formed(), "{ctx}: {:?}", report.violations);
+        assert!(
+            report.current_nodes > 1 && report.history_nodes > 0,
+            "{ctx}: workload must key-split and time-split: {report:?}"
+        );
+    });
+}
+
+/// hB crash image: a point grid with hyperplane splits, updates and
+/// deletes, plus a loser that inserts a new point and updates an old one.
+#[test]
+fn hb_restarts_identically_through_the_generic_instant_path() {
+    let cfg = HbConfig::small_nodes(4, 4);
+    let cs = CrashableStore::create(8, 10_000).expect("store");
+    let tree = HbTree::create(Arc::clone(&cs.store), 1, cfg).expect("tree");
+    let mut model: BTreeMap<Point, Vec<u8>> = BTreeMap::new();
+    let grid = |i: u64| [i % 7 * 10, i / 7 * 10];
+    for i in 0..42 {
+        let mut t = tree.begin();
+        tree.insert(&mut t, &grid(i), &val(i, "p1"))
+            .expect("insert");
+        t.commit().expect("commit");
+        model.insert(grid(i), val(i, "p1"));
+    }
+    for i in (0..42).step_by(4) {
+        let mut t = tree.begin();
+        tree.insert(&mut t, &grid(i), &val(i, "p2"))
+            .expect("update");
+        t.commit().expect("commit");
+        model.insert(grid(i), val(i, "p2"));
+    }
+    for i in (1..42).step_by(6) {
+        let mut t = tree.begin();
+        tree.delete(&mut t, &grid(i)).expect("delete");
+        t.commit().expect("commit");
+        model.remove(&grid(i));
+    }
+    let mut loser = tree.begin();
+    tree.insert(&mut loser, &[5, 5], b"loser")
+        .expect("loser insert");
+    tree.insert(&mut loser, &grid(8), b"loser")
+        .expect("loser update");
+    cs.store.log.force_all().expect("force loser tail");
+    std::mem::forget(loser);
+    drop(tree);
+
+    serial_and_instant_agree::<HbTree>(&cs, cfg, |tree, ctx| {
+        for (p, v) in &model {
+            let got = tree.get(p).expect("get");
+            assert_eq!(got.as_ref(), Some(v), "{ctx}: point {p:?}");
+        }
+        let all: BTreeMap<Point, Vec<u8>> = tree
+            .window_query(&Rect::all())
+            .expect("window")
+            .into_iter()
+            .collect();
+        assert_eq!(all, model, "{ctx}: window query over the whole space");
+        let report = tree.validate().expect("validate");
+        assert!(report.is_well_formed(), "{ctx}: {:?}", report.violations);
+        assert!(
+            report.nodes_per_level.len() > 1,
+            "{ctx}: workload must split"
+        );
+    });
 }
 
 /// The log-bytes trigger takes fuzzy checkpoints inline with commits:

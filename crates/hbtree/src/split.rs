@@ -4,25 +4,13 @@
 use crate::geometry::{key_point, Frag, Point, Rect, DIMS};
 use crate::node::HbHeader;
 use crate::tree::{HbDescent, HbPost, HbTree};
+use pitree::lifecycle::alloc_page;
 use pitree::stats::TreeStats;
 use pitree_pagestore::buffer::PinnedPage;
 use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{Page, PageType};
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::Txn;
-
-fn alloc_page<'a>(tree: &'a HbTree, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
-    let store = tree.store();
-    let pid = {
-        let mut alloc = store.space.lock_alloc();
-        let (pid, bm_pid, bit) = alloc.find_free(&store.pool)?;
-        let bm = store.pool.fetch(bm_pid)?;
-        let mut bmg = bm.x();
-        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-        pid
-    };
-    store.pool.fetch_or_create(pid, PageType::Free)
-}
 
 /// Choose a hyperplane for a data node: the dimension and median coordinate
 /// giving the most balanced record partition with both sides non-empty.
@@ -142,7 +130,7 @@ fn raw_data_split<'a>(
         "data fragments have no child terms to clip"
     );
 
-    let new_pin = alloc_page(tree, act)?;
+    let new_pin = alloc_page(tree.store(), act)?;
     let new_pid = new_pin.id();
     let new_rect = hdr.rect.half(dim, val, true);
     let mut ng = new_pin.x();
@@ -238,7 +226,7 @@ fn raw_index_split<'a>(
     // markers inside both output fragments.
     let _ = &clipped;
 
-    let new_pin = alloc_page(tree, act)?;
+    let new_pin = alloc_page(tree.store(), act)?;
     let new_pid = new_pin.id();
     let new_rect = hdr.rect.half(dim, val, true);
     let mut ng = new_pin.x();
@@ -287,7 +275,7 @@ fn grow_data_root(
     g: &mut XGuard<'_, Page>,
 ) -> StoreResult<()> {
     let hdr = HbHeader::read(g)?;
-    let n1_pin = alloc_page(tree, act)?;
+    let n1_pin = alloc_page(tree.store(), act)?;
     let n1_pid = n1_pin.id();
     let mut n1g = n1_pin.x();
     act.apply(&n1_pin, &mut n1g, PageOp::Format { ty: PageType::Node })?;
@@ -503,7 +491,7 @@ fn grow_index_root(
     g: &mut XGuard<'_, Page>,
     hdr: &HbHeader,
 ) -> StoreResult<()> {
-    let n1_pin = alloc_page(tree, act)?;
+    let n1_pin = alloc_page(tree.store(), act)?;
     let n1_pid = n1_pin.id();
     let mut n1g = n1_pin.x();
     act.apply(&n1_pin, &mut n1g, PageOp::Format { ty: PageType::Node })?;

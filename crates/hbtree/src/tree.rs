@@ -10,20 +10,18 @@
 
 use crate::geometry::{key_point, point_key, Frag, Point, PtrKind, Rect};
 use crate::node::HbHeader;
+use pitree::lifecycle::{self, lock_err, Instantiation};
 use pitree::node::Guarded;
 use pitree::stats::TreeStats;
 use pitree::store::Store;
 use pitree_pagestore::buffer::PinnedPage;
-use pitree_pagestore::page::{Page, PageType};
+use pitree_pagestore::page::Page;
 use pitree_pagestore::sync::Mutex;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockError, LockMode, LockName, Txn};
 use pitree_wal::ActionIdentity;
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Magic for hB registry records on the meta page.
-const HB_META_MAGIC: u32 = 0x4842_5452; // "HBTR"
 
 /// hB-tree tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -88,6 +86,31 @@ pub struct HbTree {
     pub(crate) stats: Arc<TreeStats>,
 }
 
+impl Instantiation for HbTree {
+    type Config = HbConfig;
+    const META_MAGIC: u32 = 0x4842_5452; // "HBTR"
+
+    fn root_leaf_header() -> Vec<u8> {
+        HbHeader::new_root_leaf().encode()
+    }
+
+    fn attach(store: Arc<Store>, tree_id: u32, root: PageId, cfg: HbConfig) -> StoreResult<Self> {
+        let stats = Arc::new(TreeStats::new(store.recorder()));
+        Ok(HbTree {
+            store,
+            cfg,
+            tree_id,
+            root,
+            queue: Mutex::new(VecDeque::new()),
+            stats,
+        })
+    }
+
+    fn compensate(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
+        crate::undo::compensate(self, tag, payload)
+    }
+}
+
 impl std::fmt::Debug for HbTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HbTree").finish_non_exhaustive()
@@ -106,77 +129,12 @@ pub(crate) struct HbDescent<'a> {
 impl HbTree {
     /// Create a new hB-tree with a fixed root.
     pub fn create(store: Arc<Store>, tree_id: u32, cfg: HbConfig) -> StoreResult<HbTree> {
-        let mut act = store.txns.begin(ActionIdentity::Transaction);
-        let root = {
-            let mut alloc = store.space.lock_alloc();
-            let (root, bm_pid, bit) = alloc.find_free(&store.pool)?;
-            let bm = store.pool.fetch(bm_pid)?;
-            let mut bmg = bm.x();
-            act.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-            root
-        };
-        {
-            let page = store.pool.fetch_or_create(root, PageType::Free)?;
-            let mut g = page.x();
-            act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })?;
-            act.apply(
-                &page,
-                &mut g,
-                PageOp::InsertSlot {
-                    slot: 0,
-                    bytes: HbHeader::new_root_leaf().encode(),
-                },
-            )?;
-        }
-        {
-            let meta = store.pool.fetch(PageId(0))?;
-            let mut g = meta.x();
-            let slot = g.slot_count();
-            let mut rec = Vec::with_capacity(16);
-            rec.extend_from_slice(&HB_META_MAGIC.to_le_bytes());
-            rec.extend_from_slice(&tree_id.to_le_bytes());
-            rec.extend_from_slice(&root.0.to_le_bytes());
-            act.apply(&meta, &mut g, PageOp::InsertSlot { slot, bytes: rec })?;
-        }
-        act.commit()?;
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(HbTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            queue: Mutex::new(VecDeque::new()),
-            stats,
-        })
+        lifecycle::create(store, tree_id, cfg)
     }
 
     /// Open an existing hB-tree by id.
     pub fn open(store: Arc<Store>, tree_id: u32, cfg: HbConfig) -> StoreResult<HbTree> {
-        let root = {
-            let meta = store.pool.fetch(PageId(0))?;
-            let g = meta.s();
-            let mut found = None;
-            for slot in 1..g.slot_count() {
-                let rec = g.get(slot)?;
-                if rec.len() == 16
-                    && u32::from_le_bytes(rec[0..4].try_into().unwrap()) == HB_META_MAGIC
-                    && u32::from_le_bytes(rec[4..8].try_into().unwrap()) == tree_id
-                {
-                    found = Some(PageId(u64::from_le_bytes(rec[8..16].try_into().unwrap())));
-                    break;
-                }
-            }
-            found.ok_or_else(|| StoreError::Corrupt(format!("hB tree {tree_id} not registered")))?
-        };
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(HbTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            queue: Mutex::new(VecDeque::new()),
-            stats,
-        })
+        lifecycle::open(store, tree_id, cfg)
     }
 
     /// Open + run crash recovery with this tree's logical-undo handler.
@@ -185,10 +143,7 @@ impl HbTree {
         tree_id: u32,
         cfg: HbConfig,
     ) -> StoreResult<(HbTree, pitree_wal::RecoveryStats)> {
-        let handler = crate::undo::HbDeferredHandler::new(Arc::clone(&store), tree_id, cfg);
-        let stats = pitree_wal::recover(&store.pool, &store.log, Some(&handler))?;
-        let tree = HbTree::open(store, tree_id, cfg)?;
-        Ok((tree, stats))
+        lifecycle::recover(store, tree_id, cfg)
     }
 
     // ---- accessors -------------------------------------------------------------
@@ -373,8 +328,7 @@ impl HbTree {
                 Err(LockError::WouldBlock) => {
                     drop(d);
                     TreeStats::bump(&self.stats.no_wait_restarts);
-                    txn.lock(&name, LockMode::S)
-                        .map_err(crate::tree::lock_err)?;
+                    txn.lock(&name, LockMode::S).map_err(lock_err)?;
                 }
                 Err(e) => return Err(lock_err(e)),
             }
@@ -545,13 +499,5 @@ impl HbTree {
     /// Structural validation; see [`crate::wellformed`].
     pub fn validate(&self) -> StoreResult<crate::wellformed::HbReport> {
         crate::wellformed::check(self)
-    }
-}
-
-pub(crate) fn lock_err(e: LockError) -> StoreError {
-    match e {
-        LockError::Deadlock => StoreError::LockFailed { deadlock: true },
-        LockError::Timeout => StoreError::LockFailed { deadlock: false },
-        LockError::WouldBlock => StoreError::Corrupt("WouldBlock escaped retry loop".into()),
     }
 }

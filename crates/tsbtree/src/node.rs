@@ -111,30 +111,10 @@ impl TsbHeader {
         v
     }
 
-    /// Decode from the slot-0 record.
+    /// Decode from the slot-0 record: the borrowed [`TsbHeaderRef`] parser,
+    /// materialized.
     pub fn decode(bytes: &[u8]) -> StoreResult<TsbHeader> {
-        if bytes.len() < 34 {
-            return Err(StoreError::Corrupt("TSB header too short".into()));
-        }
-        let kind = TsbKind::from_u8(bytes[0])?;
-        let level = bytes[1];
-        let key_side = PageId(u64::from_le_bytes(bytes[2..10].try_into().unwrap()));
-        let hist_side = PageId(u64::from_le_bytes(bytes[10..18].try_into().unwrap()));
-        let t_lo = u64::from_le_bytes(bytes[18..26].try_into().unwrap());
-        let t_hi = u64::from_le_bytes(bytes[26..34].try_into().unwrap());
-        let mut pos = 34;
-        let key_low = KeyBound::decode(bytes, &mut pos)?;
-        let key_high = KeyBound::decode(bytes, &mut pos)?;
-        Ok(TsbHeader {
-            kind,
-            level,
-            key_low,
-            key_high,
-            key_side,
-            hist_side,
-            t_lo,
-            t_hi,
-        })
+        TsbHeaderRef::parse(bytes).map(|h| h.to_header())
     }
 
     /// Read from a node page.
@@ -147,8 +127,8 @@ impl TsbHeader {
 /// fixed offsets, the key bounds stay as slices into the frame. The read
 /// hot path (`descend`, `get_as_of`) makes every rectangle-membership
 /// decision through this view without materializing a [`TsbHeader`]
-/// (DESIGN.md §11). `TsbHeader::{encode,decode}` remain the write-path
-/// representation.
+/// (DESIGN.md §11). [`TsbHeader`] remains the write-path representation;
+/// its decoder is this parser materialized.
 #[derive(Debug, Clone, Copy)]
 pub struct TsbHeaderRef<'a> {
     kind: TsbKind,
@@ -162,8 +142,8 @@ pub struct TsbHeaderRef<'a> {
 }
 
 impl<'a> TsbHeaderRef<'a> {
-    /// Parse slot-0 record bytes; accepts and rejects the same inputs as
-    /// [`TsbHeader::decode`].
+    /// Parse slot-0 record bytes, rejecting a short header, a bad kind, a
+    /// bad or truncated bound, or trailing bytes.
     pub fn parse(bytes: &'a [u8]) -> StoreResult<TsbHeaderRef<'a>> {
         if bytes.len() < 34 {
             return Err(StoreError::Corrupt("TSB header too short".into()));
@@ -177,6 +157,9 @@ impl<'a> TsbHeaderRef<'a> {
         let mut pos = 34;
         let key_low = BoundRef::parse(bytes, &mut pos)?;
         let key_high = BoundRef::parse(bytes, &mut pos)?;
+        if pos != bytes.len() {
+            return Err(StoreError::Corrupt("trailing bytes in TSB header".into()));
+        }
         Ok(TsbHeaderRef {
             kind,
             level,
@@ -265,6 +248,20 @@ impl<'a> TsbHeaderRef<'a> {
     #[inline]
     pub fn low_entry_key(&self) -> &'a [u8] {
         self.key_low.as_entry_key()
+    }
+
+    /// Materialize the owned header (write paths only).
+    pub fn to_header(&self) -> TsbHeader {
+        TsbHeader {
+            kind: self.kind,
+            level: self.level,
+            key_low: self.key_low.to_bound(),
+            key_high: self.key_high.to_bound(),
+            key_side: self.key_side,
+            hist_side: self.hist_side,
+            t_lo: self.t_lo,
+            t_hi: self.t_hi,
+        }
     }
 }
 
@@ -468,6 +465,7 @@ mod tests {
         ] {
             let bytes = h.encode();
             let v = TsbHeaderRef::parse(&bytes).unwrap();
+            assert_eq!(v.to_header(), h);
             assert_eq!(v.kind(), h.kind);
             assert_eq!(v.level(), h.level);
             assert_eq!(v.key_side(), h.key_side);
@@ -482,8 +480,12 @@ mod tests {
                 assert_eq!(v.contains_time(t), h.contains_time(t));
             }
         }
-        // Rejection parity with decode.
-        for bad in [&[][..], &[0, 0, 1][..], &[9; 40][..]] {
+        // Rejection parity with decode, including trailing bytes after
+        // the key bounds.
+        let mut trailing = TsbHeader::new_root_leaf().encode();
+        trailing.push(0);
+        assert!(TsbHeaderRef::parse(&trailing).is_err());
+        for bad in [&[][..], &[0, 0, 1][..], &[9; 40][..], &trailing[..]] {
             assert_eq!(
                 TsbHeaderRef::parse(bad).is_err(),
                 TsbHeader::decode(bad).is_err()

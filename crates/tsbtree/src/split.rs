@@ -17,6 +17,7 @@ use crate::node::{split_version_key, version_key, Time, TsbHeader, TsbKind};
 use crate::tree::{TsbDescent, TsbTree};
 use pitree::bound::KeyBound;
 use pitree::completion::Completion;
+use pitree::lifecycle::alloc_page;
 use pitree::node::{Guarded, IndexTerm};
 use pitree::stats::TreeStats;
 use pitree::traverse::SavedPath;
@@ -25,20 +26,6 @@ use pitree_pagestore::latch::XGuard;
 use pitree_pagestore::page::{Page, PageType};
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::Txn;
-
-/// Allocate a page through `chain` (logged space-map bit).
-fn alloc_page<'a>(tree: &'a TsbTree, chain: &mut Txn<'_>) -> StoreResult<PinnedPage<'a>> {
-    let store = tree.store();
-    let pid = {
-        let mut alloc = store.space.lock_alloc();
-        let (pid, bm_pid, bit) = alloc.find_free(&store.pool)?;
-        let bm = store.pool.fetch(bm_pid)?;
-        let mut bmg = bm.x();
-        chain.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-        pid
-    };
-    store.pool.fetch_or_create(pid, PageType::Free)
-}
 
 /// Split a full *current data node*, choosing between a time split and a key
 /// split (TSB heuristic: mostly-historical content → time split). One
@@ -108,7 +95,7 @@ fn time_split(
     hdr: &TsbHeader,
 ) -> StoreResult<()> {
     let t_split: Time = tree.now() + 1;
-    let hist_pin = alloc_page(tree, act)?;
+    let hist_pin = alloc_page(tree.store(), act)?;
     let hist_pid = hist_pin.id();
     let mut hg = hist_pin.x();
     act.apply(&hist_pin, &mut hg, PageOp::Format { ty: PageType::Node })?;
@@ -214,7 +201,7 @@ fn key_split(
         }
     }
 
-    let new_pin = alloc_page(tree, act)?;
+    let new_pin = alloc_page(tree.store(), act)?;
     let new_pid = new_pin.id();
     let mut ng = new_pin.x();
     act.apply(&new_pin, &mut ng, PageOp::Format { ty: PageType::Node })?;
@@ -282,7 +269,7 @@ fn index_split(
     let n = g.entry_count();
     let mid = 1 + n / 2;
     let split_key = Page::entry_key(g.get(mid)?).to_vec();
-    let new_pin = alloc_page(tree, act)?;
+    let new_pin = alloc_page(tree.store(), act)?;
     let new_pid = new_pin.id();
     let mut ng = new_pin.x();
     act.apply(&new_pin, &mut ng, PageOp::Format { ty: PageType::Node })?;
@@ -346,7 +333,7 @@ fn grow_root(
     g: &mut XGuard<'_, Page>,
 ) -> StoreResult<()> {
     let hdr = TsbHeader::read(g)?;
-    let n1_pin = alloc_page(tree, act)?;
+    let n1_pin = alloc_page(tree.store(), act)?;
     let n1_pid = n1_pin.id();
     let mut n1g = n1_pin.x();
     act.apply(&n1_pin, &mut n1g, PageOp::Format { ty: PageType::Node })?;

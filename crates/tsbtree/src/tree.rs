@@ -13,20 +13,18 @@ use crate::node::{
     TsbHeader, TsbHeaderRef,
 };
 use pitree::completion::{Completion, CompletionQueue};
+use pitree::lifecycle::{self, lock_err, Instantiation};
 use pitree::node::{BoundRef, Guarded, IndexTerm};
 use pitree::stats::TreeStats;
 use pitree::store::Store;
 use pitree::traverse::{PathEntry, SavedPath};
 use pitree_pagestore::buffer::PinnedPage;
-use pitree_pagestore::page::{Page, PageType};
+use pitree_pagestore::page::Page;
 use pitree_pagestore::{PageId, PageOp, StoreError, StoreResult};
 use pitree_txnlock::{LockError, LockMode, LockName, Txn};
 use pitree_wal::ActionIdentity;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Magic for TSB registry records on the meta page.
-const TSB_META_MAGIC: u32 = 0x5453_4254; // "TSBT"
 
 /// TSB-tree tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -74,6 +72,34 @@ pub struct TsbTree {
     clock: AtomicU64,
 }
 
+impl Instantiation for TsbTree {
+    type Config = TsbConfig;
+    const META_MAGIC: u32 = 0x5453_4254; // "TSBT"
+
+    fn root_leaf_header() -> Vec<u8> {
+        TsbHeader::new_root_leaf().encode()
+    }
+
+    fn attach(store: Arc<Store>, tree_id: u32, root: PageId, cfg: TsbConfig) -> StoreResult<Self> {
+        let stats = Arc::new(TreeStats::new(store.recorder()));
+        let tree = TsbTree {
+            store,
+            cfg,
+            tree_id,
+            root,
+            completions: Arc::new(CompletionQueue::default()),
+            stats,
+            clock: AtomicU64::new(0),
+        };
+        tree.clock.store(tree.max_time_on_disk()?, Ordering::SeqCst);
+        Ok(tree)
+    }
+
+    fn compensate(&self, tag: u8, payload: &[u8]) -> StoreResult<()> {
+        crate::undo::compensate(self, tag, payload)
+    }
+}
+
 impl std::fmt::Debug for TsbTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TsbTree").finish_non_exhaustive()
@@ -92,83 +118,13 @@ pub(crate) struct TsbDescent<'a> {
 impl TsbTree {
     /// Create a new TSB-tree with a fixed root, registered on the meta page.
     pub fn create(store: Arc<Store>, tree_id: u32, cfg: TsbConfig) -> StoreResult<TsbTree> {
-        let mut act = store.txns.begin(ActionIdentity::Transaction);
-        let root = {
-            let mut alloc = store.space.lock_alloc();
-            let (root, bm_pid, bit) = alloc.find_free(&store.pool)?;
-            let bm = store.pool.fetch(bm_pid)?;
-            let mut bmg = bm.x();
-            act.apply(&bm, &mut bmg, PageOp::SetBit { bit })?;
-            root
-        };
-        {
-            let page = store.pool.fetch_or_create(root, PageType::Free)?;
-            let mut g = page.x();
-            act.apply(&page, &mut g, PageOp::Format { ty: PageType::Node })?;
-            act.apply(
-                &page,
-                &mut g,
-                PageOp::InsertSlot {
-                    slot: 0,
-                    bytes: TsbHeader::new_root_leaf().encode(),
-                },
-            )?;
-        }
-        {
-            let meta = store.pool.fetch(PageId(0))?;
-            let mut g = meta.x();
-            let slot = g.slot_count();
-            let mut rec = Vec::with_capacity(16);
-            rec.extend_from_slice(&TSB_META_MAGIC.to_le_bytes());
-            rec.extend_from_slice(&tree_id.to_le_bytes());
-            rec.extend_from_slice(&root.0.to_le_bytes());
-            act.apply(&meta, &mut g, PageOp::InsertSlot { slot, bytes: rec })?;
-        }
-        act.commit()?;
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        Ok(TsbTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            completions: Arc::new(CompletionQueue::default()),
-            stats,
-            clock: AtomicU64::new(0),
-        })
+        lifecycle::create(store, tree_id, cfg)
     }
 
     /// Open an existing TSB-tree, restoring the logical clock from the
     /// newest version reachable on the current data chain.
     pub fn open(store: Arc<Store>, tree_id: u32, cfg: TsbConfig) -> StoreResult<TsbTree> {
-        let root = {
-            let meta = store.pool.fetch(PageId(0))?;
-            let g = meta.s();
-            let mut found = None;
-            for slot in 1..g.slot_count() {
-                let rec = g.get(slot)?;
-                if rec.len() == 16
-                    && u32::from_le_bytes(rec[0..4].try_into().unwrap()) == TSB_META_MAGIC
-                    && u32::from_le_bytes(rec[4..8].try_into().unwrap()) == tree_id
-                {
-                    found = Some(PageId(u64::from_le_bytes(rec[8..16].try_into().unwrap())));
-                    break;
-                }
-            }
-            found
-                .ok_or_else(|| StoreError::Corrupt(format!("TSB tree {tree_id} not registered")))?
-        };
-        let stats = Arc::new(TreeStats::new(store.recorder()));
-        let tree = TsbTree {
-            store,
-            cfg,
-            tree_id,
-            root,
-            completions: Arc::new(CompletionQueue::default()),
-            stats,
-            clock: AtomicU64::new(0),
-        };
-        tree.clock.store(tree.max_time_on_disk()?, Ordering::SeqCst);
-        Ok(tree)
+        lifecycle::open(store, tree_id, cfg)
     }
 
     /// Open + run full crash recovery (redo, then logical undo through this
@@ -178,10 +134,7 @@ impl TsbTree {
         tree_id: u32,
         cfg: TsbConfig,
     ) -> StoreResult<(TsbTree, pitree_wal::RecoveryStats)> {
-        let handler = crate::undo::TsbDeferredHandler::new(Arc::clone(&store), tree_id, cfg);
-        let stats = pitree_wal::recover(&store.pool, &store.log, Some(&handler))?;
-        let tree = TsbTree::open(store, tree_id, cfg)?;
-        Ok((tree, stats))
+        lifecycle::recover(store, tree_id, cfg)
     }
 
     fn max_time_on_disk(&self) -> StoreResult<Time> {
@@ -614,13 +567,5 @@ impl TsbTree {
     /// Structural validation; see [`crate::wellformed`].
     pub fn validate(&self) -> StoreResult<crate::wellformed::TsbReport> {
         crate::wellformed::check(self)
-    }
-}
-
-pub(crate) fn lock_err(e: LockError) -> StoreError {
-    match e {
-        LockError::Deadlock => StoreError::LockFailed { deadlock: true },
-        LockError::Timeout => StoreError::LockFailed { deadlock: false },
-        LockError::WouldBlock => StoreError::Corrupt("WouldBlock escaped retry loop".into()),
     }
 }

@@ -5,6 +5,7 @@
 #
 #   ./scripts/verify.sh          # fmt + clippy + pitree-lint + build + tests
 #                                # + sim sweep + pitree-check oracles
+#                                # + benchmark (pibench/) build and unit tests
 #   SKIP_LINT=1 ./scripts/verify.sh   # skip fmt/clippy (e.g. toolchain lacks them)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -72,6 +73,9 @@ cargo run --offline --release -q -p pitree-check -- --sweep 8
 
 step "bench target compiles (bench-ext feature)"
 cargo build --offline -p pitree-bench --benches --features bench-ext
+
+step "benchmark compiles against the crates (pibench is its own Cargo workspace)"
+cargo test --offline -q --manifest-path pibench/Cargo.toml
 
 step "rustdoc gate (zero warnings, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D warnings" \

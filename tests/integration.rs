@@ -2,8 +2,10 @@
 //! → trees) driven together, including all three Π-tree members sharing one
 //! store, one log, and one recovery pass.
 
-use pitree::{CrashableStore, PiTree, PiTreeConfig};
+use pitree::lifecycle::{self, Instantiation};
+use pitree::{CrashableStore, PiTree, PiTreeConfig, Store};
 use pitree_hb::{HbConfig, HbTree};
+use pitree_pagestore::StoreError;
 use pitree_tsb::{TsbConfig, TsbTree};
 use std::sync::Arc;
 
@@ -50,6 +52,41 @@ fn three_tree_kinds_share_one_store_and_log() {
         hb.get(&[42 * 37 % 1000, 42 * 91 % 1000]).unwrap(),
         Some(b"hb".to_vec())
     );
+}
+
+/// Whether tree `id` opens as family `T`; a miss must be `Corrupt`.
+fn opens_as<T: Instantiation>(store: &Arc<Store>, id: u32) -> bool
+where
+    T::Config: Default,
+{
+    match lifecycle::open::<T>(Arc::clone(store), id, T::Config::default()) {
+        Ok(_) => true,
+        Err(StoreError::Corrupt(_)) => false,
+        Err(e) => panic!("open of tree {id} failed with {e}, not Corrupt"),
+    }
+}
+
+/// The meta-page magic keeps the families apart: a tree id registered by
+/// one family does not open as another, before or after a crash.
+#[test]
+fn tree_id_of_another_family_does_not_open() {
+    let cs = CrashableStore::create(64, 10_000).unwrap();
+    PiTree::create(Arc::clone(&cs.store), 1, PiTreeConfig::default()).unwrap();
+    TsbTree::create(Arc::clone(&cs.store), 2, TsbConfig::default()).unwrap();
+    HbTree::create(Arc::clone(&cs.store), 3, HbConfig::default()).unwrap();
+    let crashed = cs.crash().unwrap().store;
+    PiTree::recover(Arc::clone(&crashed), 1, PiTreeConfig::default()).unwrap();
+    for store in [Arc::clone(&cs.store), crashed] {
+        for id in 1..=3 {
+            assert_eq!(
+                opens_as::<PiTree>(&store, id),
+                id == 1,
+                "tree {id} as B-link"
+            );
+            assert_eq!(opens_as::<TsbTree>(&store, id), id == 2, "tree {id} as TSB");
+            assert_eq!(opens_as::<HbTree>(&store, id), id == 3, "tree {id} as hB");
+        }
+    }
 }
 
 #[test]
